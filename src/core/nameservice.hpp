@@ -65,8 +65,8 @@ class NameService {
   /// `trace_id` is the causal id carried by the request packet; replies
   /// triggered by this export reuse the *waiter's* lookup id (and its
   /// sampling decision). `gc` is the packet header's credit flag; with
-  /// `keep_credit` false (a broadcast copy at a non-origin replica) the
-  /// carried credit is ignored — the origin replica holds those units.
+  /// `keep_credit` false (a shard follower's copy) the carried credit is
+  /// ignored — the shard primary holds those units.
   void handle_export(Reader& r, std::vector<net::Packet>& replies,
                      std::uint64_t trace_id = 0, bool sampled = true,
                      bool gc = false, bool keep_credit = true);
@@ -122,7 +122,7 @@ class NameService {
   std::vector<HandoffRecord> handoff_records() const;
 
   /// Publish this service's counters into `registry` under `ns_*` names,
-  /// labelled {ns="<label>"} (central service vs. per-node replicas).
+  /// labelled {ns="<label>"} (central service vs. per-node shard slices).
   void register_metrics(obs::Registry& registry, const std::string& label);
 
   /// Consistent copy of both tables with ownership and credit — the

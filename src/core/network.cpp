@@ -558,15 +558,12 @@ std::string Network::names_json() const {
     // the credit-bearing rows, so slices federate without double count.
     for (const auto& n : nodes_)
       emit(n->name_service(), "shard" + std::to_string(n->id()));
-  } else if (!ns_distributed_) {
+  } else {
     for (const auto& n : nodes_)
       if (n->id() == ns_->home_node()) {
         emit(*ns_, "central");
         break;
       }
-  } else {
-    for (const auto& n : nodes_)
-      emit(n->name_service(), "node" + std::to_string(n->id()));
   }
   out += "]";
   if (ns_sharded_ && ns_router_) {
@@ -649,7 +646,6 @@ obs::fleet::AuditReport Network::self_audit(bool include_fleet) {
 }
 
 std::size_t Network::heal_releases() {
-  if (!cfg_.gc) return 0;
   {
     std::lock_guard<std::mutex> lk(live_->scrape_mu);
     if (live_->running.load(std::memory_order_relaxed)) return 0;
@@ -825,9 +821,7 @@ std::string Network::trace_json() const {
 Site& Network::add_site(std::size_t node_idx, const std::string& name) {
   if (find_site(name))
     throw std::logic_error("duplicate site name " + name);
-  Site& s = nodes_.at(node_idx)->add_site(name);
-  if (cfg_.gc) s.set_gc_enabled(true);
-  return s;
+  return nodes_.at(node_idx)->add_site(name);
 }
 
 Site* Network::find_site(const std::string& name) {
@@ -1038,7 +1032,7 @@ Network::Result Network::finish(Result r) const {
 }
 
 Network::Result Network::run() {
-  if (cfg_.ns_shards > 0 && !cfg_.distributed_ns && !ns_sharded_) {
+  if (cfg_.ns_shards > 0 && !ns_sharded_) {
     ns_sharded_ = true;
     // In-process runs clamp the shard count to the nodes that exist; a
     // multiprocess daemon hosts one node of a larger fleet and must use
@@ -1064,18 +1058,6 @@ Network::Result Network::run() {
           *metrics_, "shard" + std::to_string(node->id()));
       // Every slice knows every site's location in advance (paper §5);
       // which slice answers a given lookup is the router's business.
-      for (auto& other : nodes_)
-        for (auto& s : other->sites())
-          node->name_service().register_site(s->name(), other->id(),
-                                             s->site_id());
-    }
-  }
-  if (cfg_.distributed_ns && !ns_distributed_) {
-    ns_distributed_ = true;
-    for (auto& node : nodes_) {
-      node->enable_local_ns(static_cast<std::uint32_t>(nodes_.size()));
-      node->name_service().register_metrics(
-          *metrics_, "node" + std::to_string(node->id()));
       for (auto& other : nodes_)
         for (auto& s : other->sites())
           node->name_service().register_site(s->name(), other->id(),
@@ -1121,19 +1103,18 @@ void Network::sequential_drain(net::Transport& t, Result& res) {
         moved += n->pump_site_outgoing(t, i, 0);
       }
     }
-    instructions_run_ += executed;
     res.instructions += executed;
     live_->instructions.fetch_add(executed, std::memory_order_relaxed);
     if (moved != 0)
       live_->progress.fetch_add(moved, std::memory_order_relaxed);
-    if (instructions_run_ > cfg_.max_instructions) {
+    if (res.instructions > cfg_.max_instructions) {
       res.budget_exhausted = true;
       return;
     }
     if (moved == 0 && executed == 0 && t.in_flight() == 0) {
       // Quiescent. Run a GC pass; if it queued RELs, keep pumping so the
       // owners apply them (and possibly cascade further collections).
-      if (cfg_.gc && gc_pass(/*final=*/false) > 0) continue;
+      if (gc_pass(/*final=*/false) > 0) continue;
       return;
     }
   }
@@ -1194,7 +1175,7 @@ Network::Result Network::run_threaded() {
       Site& s = *sites[i];
       // Periodic REL resend (Config::gc_resend_ms): collect() is an
       // executor-thread operation, so the heal timer lives here.
-      const bool resend_gc = cfg_.gc && cfg_.gc_resend_ms > 0;
+      const bool resend_gc = cfg_.gc_resend_ms > 0;
       auto next_resend = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(cfg_.gc_resend_ms);
       bool was_idle = false;
@@ -1341,16 +1322,10 @@ Network::Result Network::run_threaded() {
   stop.store(true);
   for (auto& th : threads) th.join();
   res.instructions = executed.load() - executed0;
-  instructions_run_ += res.instructions;
   // Executors are joined: the network is single-threaded again, so GC
   // passes run through the sequential pump (any work the RELs uncover is
-  // executed inline).
-  if (cfg_.gc && !res.budget_exhausted) {
-    Result gc_res;
-    sequential_drain(t, gc_res);
-    res.instructions += gc_res.instructions;
-    res.budget_exhausted |= gc_res.budget_exhausted;
-  }
+  // executed inline, against what is left of this run's budget).
+  if (!res.budget_exhausted) sequential_drain(t, res);
   return finish(res);
 }
 
@@ -1360,7 +1335,6 @@ Network::Result Network::run_threaded() {
 
 Network::GcReport Network::collect_garbage(int max_rounds) {
   GcReport rep;
-  if (!cfg_.gc) return rep;
   net::Transport& t = transport();
   // In sim mode the transport holds timed queues: drive them with a
   // virtual clock far past the run's makespan, advanced whenever packets
@@ -1407,7 +1381,7 @@ Network::GcReport Network::collect_garbage(int max_rounds) {
       rep.exports_live += s->machine().live_exports();
       rep.netrefs_live += s->machine().live_netrefs();
     }
-  if (ns_distributed_ || ns_sharded_) {
+  if (ns_sharded_) {
     // Sharded: primaries and their follower copies both count — a
     // leak-free run drains every slice to zero (the final unregister is
     // forwarded from primary to replica like any other mutation).
@@ -1446,8 +1420,8 @@ Network::Result Network::run_sim() {
   };
   // Each name-service host is one server: its requests serialise. The
   // centralised service routes everything to one node (one hot clock);
-  // distributed replicas and shard slices each get their own, which is
-  // exactly the contention relief the C6 experiment measures.
+  // shard slices each get their own, which is exactly the contention
+  // relief the C6 experiment measures.
   std::vector<double> ns_clock(nodes_.size(), 0.0);
   auto ns_clock_of = [&](std::uint32_t node_id) -> double& {
     for (std::size_t i = 0; i < nodes_.size(); ++i)
@@ -1532,9 +1506,8 @@ Network::Result Network::run_sim() {
       sites[best].node->pump_site_outgoing(t, sites[best].idx_in_node,
                                            clock[best]);
       res.instructions += ran;
-      instructions_run_ += ran;
       live_->instructions.fetch_add(ran, std::memory_order_relaxed);
-      if (instructions_run_ > cfg_.max_instructions) {
+      if (res.instructions > cfg_.max_instructions) {
         res.budget_exhausted = true;
         break;
       }

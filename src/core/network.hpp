@@ -65,23 +65,22 @@ class Network {
     double instr_per_us = 100.0;
     /// Scheduling slice (instructions) per site turn.
     std::uint64_t slice = 256;
-    /// Global instruction budget (guards against divergent programs).
+    /// Instruction budget per run() (guards against divergent programs;
+    /// a long-lived network that calls run() repeatedly gets a fresh
+    /// budget each time).
     std::uint64_t max_instructions = 100'000'000;
     /// Wall-clock cap for the threaded driver (ms).
     std::uint64_t timeout_ms = 10'000;
-    /// Simulated service time per name-service request (µs). The NS is a
-    /// single centralised server (paper, section 5), so its requests
-    /// queue: this is what the C6 contention experiment measures.
+    /// Simulated service time per name-service request (µs). Each
+    /// directory host (the central service, or one shard slice) serves
+    /// its requests one at a time, so they queue: this is what the C6
+    /// contention experiment measures.
     double ns_service_us = 0.5;
-    /// Replicate the name service onto every node (the paper's
-    /// future-work item): lookups are answered by the local replica and
-    /// exports are broadcast, removing the central bottleneck.
-    bool distributed_ns = false;
     /// Shard the name service across the fleet (src/ns): each directory
     /// key lives on the node rendezvous-hashing assigns it, with one
-    /// follower copy for failover. 0 = off (central, or distributed_ns
-    /// when that is set). In-process runs clamp this to the node count;
-    /// a multiprocess daemon passes the fleet size.
+    /// follower copy for failover. 0 = off: one central service (paper,
+    /// section 5). In-process runs clamp this to the node count; a
+    /// multiprocess daemon passes the fleet size.
     std::uint32_t ns_shards = 0;
     /// Follower copies per shard entry (0 disables replication).
     std::uint32_t ns_replicas = 1;
@@ -92,13 +91,6 @@ class Network {
     /// inferred export signatures and import requirements to the site so
     /// remote interactions are checked dynamically (paper, section 7).
     bool typecheck = false;
-    /// Distributed GC for network references (credit-based reference
-    /// counting; DESIGN.md §GC). Sites stamp kGcFlag on their frames and
-    /// reclaim export-table entries once every minted unit of credit has
-    /// returned. The sequential and threaded drivers run collection
-    /// passes at quiescence; sim mode defers GC entirely to
-    /// collect_garbage() so virtual-time results are unaffected.
-    bool gc = true;
     /// Threaded driver: every `gc_resend_ms` milliseconds each site
     /// retransmits its non-zero cumulative releases (Site::collect with
     /// resend), healing RELs a lossy transport dropped — the owner's
@@ -137,7 +129,13 @@ class Network {
   /// Submit a whole `site name { P }` network file; sites must exist.
   void submit_network_source(std::string_view src);
 
-  /// Drive the network to quiescence (per the configured mode).
+  /// Drive the network to quiescence (per the configured mode). Distributed
+  /// GC (credit-based reference counting; DESIGN.md §GC) is always on:
+  /// sites stamp kGcFlag on their frames and reclaim export-table entries
+  /// once every minted unit of credit has returned. The sequential and
+  /// threaded drivers run collection passes at quiescence; sim mode
+  /// defers GC entirely to collect_garbage() so virtual-time results are
+  /// unaffected.
   Result run();
 
   /// Totals after the final GC epoch (see collect_garbage).
@@ -152,7 +150,7 @@ class Network {
   /// drains until no site queues further RELs (or `max_rounds` is hit).
   /// After this, a leak-free program leaves every export table and the
   /// IdTable empty. Works in every mode (sim uses a far-future virtual
-  /// clock so in-flight RELs arrive). No-op report unless cfg.gc.
+  /// clock so in-flight RELs arrive).
   GcReport collect_garbage(int max_rounds = 8);
 
   const std::vector<std::string>& output(const std::string& site_name);
@@ -176,7 +174,7 @@ class Network {
   // -- observability --
 
   /// The network's metrics registry. Every site, VM and name service
-  /// (central and replicas) registers here; snapshot()/expose_text()/
+  /// (central or shard slices) registers here; snapshot()/expose_text()/
   /// expose_json() give the unified view.
   obs::Registry& metrics() { return *metrics_; }
   const obs::Registry& metrics() const { return *metrics_; }
@@ -274,8 +272,8 @@ class Network {
 
   /// The /names payload: the name service's Site/Id tables with
   /// ownership, held credit and its REL ledger — the central service
-  /// when this process hosts its home node, plus every per-node replica
-  /// in distributed-NS mode. Same at-rest/published discipline as /gc.
+  /// when this process hosts its home node, or every hosted shard slice
+  /// in sharded mode. Same at-rest/published discipline as /gc.
   std::string names_json() const;
 
   /// Run the GC credit audit (obs/fleet.hpp) over this process's own
@@ -288,8 +286,8 @@ class Network {
 
   /// At-rest REL heal: resend every site's cumulative releases and pump
   /// until quiet (the executor-thread heal timer only runs inside
-  /// run()). Returns REL packets queued; no-op while run() executes or
-  /// when GC is off. Used by tycod's --audit-ms loop so a REL dropped
+  /// run()). Returns REL packets queued; no-op while run() executes.
+  /// Used by tycod's --audit-ms loop so a REL dropped
   /// after the last run still heals within one interval.
   std::size_t heal_releases();
 
@@ -320,8 +318,10 @@ class Network {
   void wire_tcp_flight(net::TcpTransport& t);
   /// Feed a transport's tcp-send/tcp-recv hops into the SLO ledger.
   void wire_tcp_slo(net::TcpTransport& t);
-  /// The sequential pump loop: round-robin sites until quiescent (with
-  /// cfg.gc, quiescence triggers collection passes until no RELs flow).
+  /// The sequential pump loop: round-robin sites until quiescent
+  /// (quiescence triggers collection passes until no RELs flow). The
+  /// budget check counts `res.instructions`, so a caller continuing a
+  /// run passes that run's Result.
   void sequential_drain(net::Transport& t, Result& res);
 
   /// Live run state shared between the drivers and TyCOmon's handlers.
@@ -363,8 +363,6 @@ class Network {
   std::vector<std::unique_ptr<ns::LeaseCache>> ns_caches_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<net::Transport> transport_;
-  std::uint64_t instructions_run_ = 0;
-  bool ns_distributed_ = false;
   bool ns_sharded_ = false;
   std::size_t trace_capacity_ = 0;
   std::uint64_t sample_every_ = 1, sample_seed_ = 0;

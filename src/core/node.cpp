@@ -23,24 +23,14 @@ bool packet_is_ns(const net::Packet& p) {
          t == MsgType::kNsUnregister || t == MsgType::kNsInvalidate;
 }
 
-void Node::enable_local_ns(std::uint32_t n_nodes) {
-  replica_ = std::make_unique<NameService>(id_);
-  // The replica inherits this node's site registrations lazily: sites are
-  // re-registered by the Network when it distributes the service.
-  ns_ = replica_.get();
-  broadcast_nodes_ = n_nodes;
-  for (auto& s : sites_) s->set_ns_node(id_);
-}
-
 void Node::enable_sharded_ns(ns::ShardRouter* router, ns::LeaseCache* cache,
                              bool lease_tracking) {
-  replica_ = std::make_unique<NameService>(id_);
-  ns_ = replica_.get();
+  slice_ = std::make_unique<NameService>(id_);
+  ns_ = slice_.get();
   router_ = router;
   ns_cache_ = cache;
   ns_->set_lease_tracking(lease_tracking);
   for (auto& s : sites_) {
-    s->set_ns_node(id_);  // fallback only; per-key routing via the router
     s->set_ns_router(router);
     s->set_lease_cache(cache);
   }
@@ -105,8 +95,8 @@ void Node::enable_tracing(std::size_t capacity, std::uint64_t sample_every,
 
 void Node::route(net::Packet p, net::Transport& t, double now_us) {
   if (packet_is_ns(p)) {
-    // This node hosts a name service (the central one, a replica when the
-    // service is distributed, or a shard slice when it is sharded).
+    // This node hosts a name service (the central one, or a shard slice
+    // when the service is sharded).
     Reader r(p.bytes);
     const PacketHeader h = read_header(r);
     if (h.type == MsgType::kNsInvalidate) {
@@ -119,7 +109,7 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
     // Sharded mode: the key's rendezvous owners decide this packet's
     // fate. Every NS frame leads with the key (site str, name str), so a
     // second reader peeks it without disturbing `r`.
-    bool keep_credit = broadcast_nodes_ == 0 || p.src_node == id_;
+    bool keep_credit = true;
     if (router_ != nullptr) {
       Reader peek(p.bytes);
       read_header(peek);
@@ -169,21 +159,8 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
     if (h.type == MsgType::kNsExport || h.type == MsgType::kNsUnregister) {
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kNsExport, h.trace_id, p.bytes.size());
-      // Replicated mode: exports (and unregisters) originating here
-      // propagate to every other replica (which releases their parked
-      // lookups / drops their copies of the binding).
-      if (broadcast_nodes_ > 0 && p.src_node == id_) {
-        for (std::uint32_t n = 0; n < broadcast_nodes_; ++n) {
-          if (n == id_) continue;
-          net::Packet copy;
-          copy.src_node = id_;
-          copy.dst_node = n;
-          copy.bytes = p.bytes;
-          t.send(std::move(copy), now_us);
-        }
-      }
       if (h.type == MsgType::kNsExport)
-        // Only the origin replica / shard primary keeps the GC credit
+        // Only the central service / shard primary keeps the GC credit
         // the export carries: one holder per minted unit.
         ns_->handle_export(r, replies, h.trace_id, h.sampled, h.gc,
                            keep_credit);
@@ -205,7 +182,7 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
   if (packet_type(p.bytes) == MsgType::kPeerDown) {
     // A synthetic death notice injected by the transport's failure
     // detector: every site on this node writes off the dead holder's
-    // export credit, and the name service (central or replica) drops
+    // export credit, and the name service (central or shard) drops
     // the dead node's registrations so lookups stop resolving to it.
     Reader r(p.bytes);
     read_header(r);

@@ -37,11 +37,6 @@ class Node {
 
   std::uint32_t id() const { return id_; }
 
-  /// Switch this node to a local name-service replica (the distributed
-  /// name service the paper lists as future work): lookups are answered
-  /// on-node and exports are broadcast to every other node's replica.
-  void enable_local_ns(std::uint32_t n_nodes);
-
   /// Decentralise the directory (src/ns): this node hosts a local
   /// NameService instance holding only the shard slice the rendezvous
   /// `router` assigns it (plus weak follower copies of its neighbour's
@@ -125,8 +120,7 @@ class Node {
   std::uint32_t id_;
   NameService* ns_;
   obs::Registry* metrics_ = nullptr;
-  std::unique_ptr<NameService> replica_;  // set by enable_local/sharded_ns
-  std::uint32_t broadcast_nodes_ = 0;     // >0 when replicated
+  std::unique_ptr<NameService> slice_;  // set by enable_sharded_ns
   ns::ShardRouter* router_ = nullptr;     // set by enable_sharded_ns
   ns::LeaseCache* ns_cache_ = nullptr;    // this node's lease cache
   std::vector<std::unique_ptr<Site>> sites_;

@@ -234,14 +234,14 @@ void Site::ship_message(const vm::NetRef& target, const std::string& label,
   const std::uint64_t starved0 = machine_.gc_stats().credit_starved;
   Writer w;
   write_header(w, MsgType::kShipMsg, target.site, tid.id, tid.sampled,
-               gc_enabled_);
+               /*gc=*/true);
   w.u64(target.heap_id);
   w.str(label);
   // Credit minted while marshalling is charged to the receiving node
   // (and stamped with this ship's trace id for the audit plane).
   machine_.set_credit_peer(target.node);
   machine_.set_credit_trace(tid.id);
-  marshal_values(machine_, args, w, gc_enabled_);
+  marshal_values(machine_, args, w, /*gc=*/true);
   machine_.set_credit_peer(vm::Machine::kNoPeer);
   machine_.set_credit_trace(0);
   auto bytes = w.take();
@@ -270,14 +270,14 @@ void Site::ship_object(const vm::NetRef& target, std::uint32_t seg_slot,
   const std::uint64_t starved0 = machine_.gc_stats().credit_starved;
   Writer w;
   write_header(w, MsgType::kShipObj, target.site, tid.id, tid.sampled,
-               gc_enabled_);
+               /*gc=*/true);
   w.u64(target.heap_id);
   std::vector<vm::Segment> closure;
   machine_.collect_closure(seg_slot, closure);
   write_closure(w, closure);
   machine_.set_credit_peer(target.node);
   machine_.set_credit_trace(tid.id);
-  marshal_values(machine_, env, w, gc_enabled_);
+  marshal_values(machine_, env, w, /*gc=*/true);
   machine_.set_credit_peer(vm::Machine::kNoPeer);
   machine_.set_credit_trace(0);
   auto bytes = w.take();
@@ -349,22 +349,19 @@ void Site::export_id(const std::string& name, const vm::NetRef& ref) {
     sig = it->second;
   const obs::TraceTag tid = fresh_trace_id();
   const std::uint32_t target = ns_target(name_, name);
-  std::uint64_t credit = 0;
-  if (gc_enabled_) {
-    // The name service becomes a credit holder for this entry: it hands
-    // shares of the minted balance to importers and RELs the remainder
-    // when the binding is dropped. The name pin keeps the entry alive
-    // even if every unit of credit drains first. Under sharding the
-    // mint is attributed to the owning primary, so a confirmed-dead
-    // shard's held balance is forgiven by write_off_node.
-    if (ns_router_ != nullptr) machine_.set_credit_peer(target);
-    machine_.set_credit_trace(tid.id);
-    credit = machine_.mint_export_credit(ref);
-    machine_.set_credit_trace(0);
-    if (ns_router_ != nullptr) machine_.set_credit_peer(vm::Machine::kNoPeer);
-    machine_.pin_name(ref);
-    exported_names_.emplace_back(name, ref);
-  }
+  // The name service becomes a credit holder for this entry: it hands
+  // shares of the minted balance to importers and RELs the remainder
+  // when the binding is dropped. The name pin keeps the entry alive
+  // even if every unit of credit drains first. Under sharding the
+  // mint is attributed to the owning primary, so a confirmed-dead
+  // shard's held balance is forgiven by write_off_node.
+  if (ns_router_ != nullptr) machine_.set_credit_peer(target);
+  machine_.set_credit_trace(tid.id);
+  const std::uint64_t credit = machine_.mint_export_credit(ref);
+  machine_.set_credit_trace(0);
+  if (ns_router_ != nullptr) machine_.set_credit_peer(vm::Machine::kNoPeer);
+  machine_.pin_name(ref);
+  exported_names_.emplace_back(name, ref);
   if (ring_.should_record(tid.sampled))
     ring_.record(obs::EventType::kNsExport, tid.id);
   send_packet(target, NameService::make_export(0, name_, name, ref, sig,
@@ -408,7 +405,7 @@ void Site::import_id(const std::string& site, const std::string& name,
 // ---------------------------------------------------------------------
 
 std::size_t Site::collect(bool final, bool resend) {
-  if (!gc_enabled_ || failed()) return 0;
+  if (failed()) return 0;
   std::size_t queued = 0;
   if (final) {
     // Shutdown epoch: the dynamic-link cache no longer pins fetched
@@ -536,7 +533,7 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       // The reply reuses the request's trace id (and sampling decision),
       // so a FETCH shows as one causal chain: req -> served -> reply.
       write_header(w, MsgType::kFetchRep, req_site, h.trace_id, h.sampled,
-                   gc_enabled_);
+                   /*gc=*/true);
       w.u64(req_id);
       std::vector<vm::Segment> closure;
       machine_.collect_closure(blk.seg, closure);
@@ -544,7 +541,7 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       w.u32(entry.cls);
       // The requester becomes the holder of any credit the reply mints.
       machine_.set_credit_peer(req_node);
-      marshal_values(machine_, blk.env, w, gc_enabled_);
+      marshal_values(machine_, blk.env, w, /*gc=*/true);
       auto reply = w.take();
       packet_bytes_.observe(static_cast<double>(reply.size()));
       if (ring_.should_record(h.sampled))

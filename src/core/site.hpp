@@ -66,8 +66,6 @@ class Site {
   const std::string& name() const { return name_; }
   std::uint32_t node_id() const { return node_id_; }
   std::uint32_t site_id() const { return site_id_; }
-  /// Repoint this site's name-service requests (distributed NS mode).
-  void set_ns_node(std::uint32_t node) { ns_node_ = node; }
   /// Sharded NS mode: route each request to the owning shard primary
   /// instead of ns_node_. The router outlives the site (Network owns it).
   void set_ns_router(ns::ShardRouter* router) { ns_router_ = router; }
@@ -108,14 +106,9 @@ class Site {
   /// dynamic-link cache and unregisters this site's name-service
   /// bindings (shutdown epoch). With `resend`, retransmits *every*
   /// non-zero cumulative release (heals lost RELs; idempotent at the
-  /// owner). Returns the number of packets queued. No-op unless
-  /// set_gc_enabled(true).
+  /// owner). Returns the number of packets queued. No-op on a killed
+  /// site.
   std::size_t collect(bool final, bool resend = false);
-
-  /// Opt this site into the credit-based distributed GC (wire frames it
-  /// sends will carry the kGcFlag credit fields).
-  void set_gc_enabled(bool on) { gc_enabled_ = on; }
-  bool gc_enabled() const { return gc_enabled_; }
 
   // -- daemon-thread operations (thread-safe) --
 
@@ -235,7 +228,6 @@ class Site {
   // Lookup tokens answered from the lease cache (a synthesized reply
   // must not re-fill the cache — that would renew the lease for free).
   std::set<std::uint64_t> cache_tokens_;
-  bool gc_enabled_ = false;
   // Name-service bindings this site created, kept for the final
   // unregister epoch (duplicates allowed: re-export pins again).
   std::vector<std::pair<std::string, vm::NetRef>> exported_names_;

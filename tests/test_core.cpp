@@ -423,15 +423,41 @@ TEST(Core, SimMyrinetFasterThanEthernet) {
 }
 
 TEST(Core, BudgetExhaustionReported) {
-  Network::Config cfg;
-  cfg.max_instructions = 10'000;
-  Network net(cfg);
-  net.add_node();
-  net.add_site(0, "main");
-  net.submit_source("main", "def Loop(n) = Loop[n + 1] in Loop[0]");
-  auto res = net.run();
-  EXPECT_TRUE(res.budget_exhausted);
-  EXPECT_FALSE(res.quiescent);
+  // The budget is per run(): a divergent program exhausts it, while
+  // successive runs that each stay under it — but not their sum — all
+  // quiesce (a long-lived daemon calls run() for its whole life).
+  const std::uint64_t budget = 10'000;
+  const std::string bounded =
+      "def Loop(n) = if n == 700 then 0 else Loop[n + 1] in Loop[0]";
+  struct Case {
+    std::vector<std::string> runs;
+    bool exhausted;
+  };
+  const Case cases[] = {
+      {{"def Loop(n) = Loop[n + 1] in Loop[0]"}, true},
+      {{bounded, bounded}, false},
+  };
+  for (auto mode : {Network::Mode::kSequential, Network::Mode::kThreaded,
+                    Network::Mode::kSim}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(static_cast<int>(mode));
+      Network::Config cfg;
+      cfg.mode = mode;
+      cfg.max_instructions = budget;
+      Network net(cfg);
+      net.add_node();
+      net.add_site(0, "main");
+      std::uint64_t total = 0;
+      for (const std::string& src : c.runs) {
+        net.submit_source("main", src);
+        const auto res = net.run();
+        total += res.instructions;
+        EXPECT_EQ(res.budget_exhausted, c.exhausted);
+        EXPECT_EQ(res.quiescent, !c.exhausted);
+      }
+      if (!c.exhausted) EXPECT_GT(total, budget);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

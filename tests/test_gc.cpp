@@ -171,24 +171,6 @@ TEST(Gc, SimRingDrainsToEmpty) {
   expect_all_empty(net, net.collect_garbage());
 }
 
-TEST(Gc, DisabledGcKeepsLegacyBehaviour) {
-  // cfg.gc = false: no credit on the wire, entries live forever, and
-  // collect_garbage is a no-op report.
-  Network::Config cfg;
-  cfg.gc = false;
-  Network net(cfg);
-  build_ring(net);
-  auto res = net.run();
-  EXPECT_TRUE(res.quiescent);
-  EXPECT_EQ(net.output("r0"), std::vector<std::string>{"2"});
-  std::size_t live = 0;
-  for (const auto& n : net.nodes())
-    for (const auto& s : n->sites()) live += s->machine().live_exports();
-  EXPECT_GE(live, 3u);
-  auto rep = net.collect_garbage();
-  EXPECT_EQ(rep.rounds, 0u);
-}
-
 TEST(Gc, MetricsExposed) {
   Network net;
   net.add_node();

@@ -1,6 +1,6 @@
 // Protocol-level tests for the TyCOd daemon (Node) and the name-service
 // packet formats: header parsing, routing to sites, the shared-memory
-// fast path, NS request/reply framing, and broadcast in replicated mode.
+// fast path and NS request/reply framing.
 #include <gtest/gtest.h>
 
 #include "core/network.hpp"
@@ -172,44 +172,6 @@ TEST(NameServicePackets, StatsAccumulate) {
   EXPECT_EQ(ns.stats().exports, 1u);
   EXPECT_EQ(ns.stats().lookups, 1u);
   EXPECT_EQ(ns.stats().replies, 1u);
-}
-
-TEST(NodeRouting, ReplicatedExportBroadcasts) {
-  NameService master(0);
-  Node n0(0, master);
-  n0.add_site("origin");
-  n0.enable_local_ns(3);  // three-node network
-  net::InProcTransport t(3);
-  // An export originating at node 0 must be broadcast to nodes 1 and 2.
-  net::Packet p;
-  p.src_node = 0;
-  p.dst_node = 0;
-  p.bytes = NameService::make_export(0, "origin", "x",
-                                     {vm::NetRef::Kind::kChan, 0, 0, 1}, "");
-  n0.route(std::move(p), t, 0);
-  EXPECT_EQ(t.packets_sent(), 2u);
-  net::Packet got;
-  ASSERT_TRUE(t.recv(1, got, 0));
-  EXPECT_TRUE(packet_is_ns(got));
-  ASSERT_TRUE(t.recv(2, got, 0));
-  EXPECT_TRUE(packet_is_ns(got));
-  // And the local replica knows the name.
-  EXPECT_TRUE(n0.name_service().lookup_id("origin", "x").has_value());
-}
-
-TEST(NodeRouting, ReplicaDoesNotRebroadcastForeignExports) {
-  NameService master(0);
-  Node n1(1, master);
-  n1.enable_local_ns(3);
-  net::InProcTransport t(3);
-  net::Packet p;
-  p.src_node = 0;  // arrived from elsewhere
-  p.dst_node = 1;
-  p.bytes = NameService::make_export(0, "origin", "x",
-                                     {vm::NetRef::Kind::kChan, 0, 0, 1}, "");
-  n1.route(std::move(p), t, 0);
-  EXPECT_EQ(t.packets_sent(), 0u) << "no broadcast storm";
-  EXPECT_TRUE(n1.name_service().lookup_id("origin", "x").has_value());
 }
 
 }  // namespace

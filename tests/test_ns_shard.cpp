@@ -158,27 +158,80 @@ Network shard_net(Network::Mode mode = Network::Mode::kSequential,
 }
 
 TEST(NsShard, RpcWorks) {
-  auto net = shard_net();
-  net.submit_network_source(
-      "site server { export new p in p?{ val(x, rep) = rep![x * 2] } }\n"
-      "site client { import p from server in let z = p![21] in print[z] }");
+  // An exported channel (SHIPM round trip) and an exported class (FETCH
+  // of its code): both resolve through the owning shard.
+  struct Case {
+    const char* src;
+    const char* name;
+    const char* out;
+    std::uint64_t fetches;
+  };
+  const Case cases[] = {
+      {"site server { export new p in p?{ val(x, rep) = rep![x * 2] } }\n"
+       "site client { import p from server in let z = p![21] in print[z] }",
+       "p", "42", 0},
+      {"site server { export def Applet(out) = out![7] in 0 }\n"
+       "site client { import Applet from server in "
+       "new p (Applet[p] | p?(v) = print[v]) }",
+       "Applet", "7", 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto net = shard_net();
+    net.submit_network_source(c.src);
+    auto res = net.run();
+    EXPECT_TRUE(res.quiescent);
+    EXPECT_TRUE(net.all_errors().empty());
+    EXPECT_EQ(net.output("client"), std::vector<std::string>{c.out});
+    EXPECT_EQ(net.find_site("client")->mobility().fetch_requests.value(),
+              c.fetches);
+    ASSERT_NE(net.ns_router(), nullptr);
+    // The binding lives on exactly one primary (credit holder) and one
+    // follower (weak copy).
+    const std::uint32_t prim = net.ns_router()->primary_of("server", c.name);
+    const std::uint32_t repl = net.ns_router()->replica_of("server", c.name);
+    auto bound = [&](const core::Node& n) {
+      return n.name_service().lookup_id("server", c.name).has_value();
+    };
+    for (const auto& n : net.nodes())
+      EXPECT_EQ(bound(*n), n->id() == prim || n->id() == repl) << n->id();
+  }
+}
+
+TEST(NsShard, ManyImportersOnSeparateNodes) {
+  // Six clients, one node each, import the same binding: every lookup
+  // resolves at the key's shard primary, each importer gets its own
+  // credit share, and the final epoch drains every slice.
+  Network::Config cfg;
+  cfg.ns_shards = 7;
+  Network net(cfg);
+  net.add_node();
+  net.add_site(0, "server");
+  const int clients = 6;
+  for (int i = 0; i < clients; ++i) {
+    net.add_node();
+    net.add_site(static_cast<std::size_t>(i) + 1, "c" + std::to_string(i));
+  }
+  net.submit_source("server",
+                    "def S(self) = self?{ val(x, r) = (r![x * x] | S[self]) "
+                    "} in export new sq in S[sq]");
+  for (int i = 0; i < clients; ++i)
+    net.submit_source("c" + std::to_string(i),
+                      "import sq from server in let z = sq![" +
+                          std::to_string(i + 2) + "] in print[z]");
   auto res = net.run();
   EXPECT_TRUE(res.quiescent);
   EXPECT_TRUE(net.all_errors().empty());
-  EXPECT_EQ(net.output("client"), std::vector<std::string>{"42"});
-  ASSERT_NE(net.ns_router(), nullptr);
-  // The binding lives on exactly one primary (credit holder) and one
-  // follower (weak copy).
-  const std::uint32_t prim = net.ns_router()->primary_of("server", "p");
-  const std::uint32_t repl = net.ns_router()->replica_of("server", "p");
-  EXPECT_TRUE(
-      net.nodes()[prim]->name_service().lookup_id("server", "p").has_value());
-  EXPECT_TRUE(
-      net.nodes()[repl]->name_service().lookup_id("server", "p").has_value());
-  for (const auto& n : net.nodes()) {
-    if (n->id() == prim || n->id() == repl) continue;
-    EXPECT_FALSE(n->name_service().lookup_id("server", "p").has_value());
-  }
+  for (int i = 0; i < clients; ++i)
+    EXPECT_EQ(net.output("c" + std::to_string(i)),
+              std::vector<std::string>{std::to_string((i + 2) * (i + 2))});
+  const std::uint32_t prim = net.ns_router()->primary_of("server", "sq");
+  EXPECT_EQ(net.nodes()[prim]->name_service().stats().lookups,
+            static_cast<std::uint64_t>(clients));
+  auto rep = net.collect_garbage();
+  EXPECT_EQ(rep.ns_ids, 0u);
+  EXPECT_EQ(rep.exports_live, 0u);
+  EXPECT_TRUE(net.self_audit().balanced);
 }
 
 TEST(NsShard, LookupBeforeExportParksAtOwningShard) {

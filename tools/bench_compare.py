@@ -20,8 +20,8 @@ EXPERIMENTS.md. Sections only in NEW are reported but never fail.
 Raw single-binary documents (`dityco-bench-v2`, e.g. the output of
 `tycoload --bench-json` or any bench's own `--bench-json`) are accepted
 on either side: their top-level sections join under (bench, "plain").
-v1 baselines (no sections) fall back to comparing the per-bench
-wall-clock totals only, informationally.
+A document with no sections at all (e.g. a schema-v1 baseline of
+per-binary wall-clock totals) is rejected: there is nothing to gate on.
 """
 import argparse
 import json
@@ -73,8 +73,10 @@ def main():
                          "is sanctioned (repeatable)")
     args = ap.parse_args()
 
-    old_doc, new_doc = load(args.old), load(args.new)
-    old_secs, new_secs = sections(old_doc), sections(new_doc)
+    old_secs, new_secs = sections(load(args.old)), sections(load(args.new))
+    for path, secs in ((args.old, old_secs), (args.new, new_secs)):
+        if not secs:
+            sys.exit(f"bench_compare: {path} has no schema-v2 sections")
     allowed = [re.compile(p) for p in args.allow_drop]
 
     regressions = []
@@ -110,20 +112,7 @@ def main():
 
     print(f"bench_compare: {args.old} -> {args.new} "
           f"(threshold {args.threshold:g}%)")
-    if rows:
-        print("\n".join(rows))
-    else:
-        # v1 fallback: only the coarse wall-clock totals exist.
-        old_ms = {b.get("bench"): b for b in old_doc.get("benches", [])}
-        for b in new_doc.get("benches", []):
-            o = old_ms.get(b.get("bench"))
-            if not o:
-                continue
-            for k in ("plain_ms", "obs_ms"):
-                print(f"  info     {b.get('bench')}/{k} "
-                      f"{o.get(k, 0)} -> {b.get(k, 0)} ms")
-        print("bench_compare: no sections on either side "
-              "(v1 baselines?) — nothing to gate on")
+    print("\n".join(rows))
 
     if regressions:
         print(f"bench_compare: {len(regressions)} regression(s) beyond "
